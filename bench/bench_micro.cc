@@ -146,7 +146,8 @@ void BM_SymmetricEigen(benchmark::State& state) {
     benchmark::DoNotOptimize(eig);
   }
 }
-BENCHMARK(BM_SymmetricEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
+// 158 is the paper-scale fit's user count.
+BENCHMARK(BM_SymmetricEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(158);
 
 void BM_ProxL1(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -169,9 +170,10 @@ void BM_ProxNuclearSymmetric(benchmark::State& state) {
     benchmark::DoNotOptimize(prox);
   }
 }
+// 158 is the paper-scale fit's user count.
 BENCHMARK(BM_ProxNuclearSymmetric)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      SizeThreadGrid(b, {32, 64, 128});
+      SizeThreadGrid(b, {32, 64, 128, 158});
     });
 
 void BM_ProxNuclearRandomized(benchmark::State& state) {

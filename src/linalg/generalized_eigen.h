@@ -32,9 +32,9 @@ struct GeneralizedEigenOptions {
 };
 
 /// Solves the symmetric-definite problem by Cholesky reduction:
-/// B+εI = L Lᵀ, C = L⁻¹ A L⁻ᵀ (symmetric), Jacobi-eigen of C, and back-
-/// substitution of the vectors. Requires A symmetric and B symmetric
-/// PSD of the same order.
+/// B+εI = L Lᵀ, C = L⁻¹ A L⁻ᵀ (symmetric), ComputeSymmetricEigen of C
+/// (tridiagonal QL), and back-substitution of the vectors. Requires A
+/// symmetric and B symmetric PSD of the same order.
 Result<GeneralizedEigenResult> ComputeGeneralizedEigen(
     const Matrix& a, const Matrix& b,
     const GeneralizedEigenOptions& options = {});

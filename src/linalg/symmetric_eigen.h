@@ -1,4 +1,5 @@
-// Symmetric eigendecomposition via the cyclic Jacobi method.
+// Symmetric eigendecomposition via Householder tridiagonalisation
+// followed by implicit-shift QL iteration (the EISPACK tred2/tql2 pair).
 //
 // Used for (a) the fast symmetric path of the nuclear-norm prox (the
 // predictor matrix S stays symmetric for undirected social graphs) and
@@ -23,15 +24,18 @@ struct SymmetricEigenResult {
   Matrix Reconstruct() const;
 };
 
-/// Options controlling the Jacobi iteration.
+/// Options controlling the QL iteration.
 struct SymmetricEigenOptions {
-  int max_sweeps = 100;  ///< Hard cap on full sweeps.
-  double tol = 1e-12;    ///< Off-diagonal convergence tolerance (relative).
+  /// Cap on implicit QL iterations spent on any one eigenvalue (LAPACK's
+  /// steqr allows 30; two or three is typical).
+  int max_iterations = 30;
 };
 
 /// Computes the full eigendecomposition of the symmetric matrix `a`.
-/// Fails with kInvalidArgument if `a` is empty, non-square, or visibly
-/// asymmetric, and kNotConverged if sweeps are exhausted.
+/// Eigenvector signs are arbitrary. Fails with kInvalidArgument if `a`
+/// is empty, non-square, or visibly asymmetric, kNumericalError if it
+/// holds NaN/Inf, and kNotConverged if an eigenvalue exhausts
+/// `max_iterations`.
 Result<SymmetricEigenResult> ComputeSymmetricEigen(
     const Matrix& a, const SymmetricEigenOptions& options = {});
 

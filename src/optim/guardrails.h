@@ -13,7 +13,8 @@
 //     for several consecutive steps)       → same rollback + backoff.
 //   * Nuclear-prox failure (randomized or symmetric-eigen backend not
 //     converging)                          → bounded-retry fallback to
-//     the full Jacobi SVD with extra sweeps.
+//     the full one-sided Jacobi SVD with extra sweeps, an algorithm
+//     family independent of the tridiagonal-QL eigensolver.
 //   * Inner-loop failure after its own retries → CCCP resumes from the
 //     last SolverCheckpoint with a halved θ.
 //
@@ -119,11 +120,12 @@ struct NuclearProxOptions {
 };
 
 /// Nuclear-norm prox with a bounded-retry fallback chain:
-/// primary backend (randomized sketch or symmetric-eigen/Jacobi auto
-/// dispatch, honoring the "svd.prox" fault-injection site) and, on
-/// kNotConverged / kNumericalError / non-finite output, the full Jacobi
-/// SVD with a doubled sweep budget per retry. Each fallback taken is
-/// counted in `stats` (when non-null).
+/// primary backend (randomized sketch, or ProxNuclearAuto's dispatch to
+/// the tridiagonal-QL symmetric eigensolver or the SVD, honoring the
+/// "svd.prox" fault-injection site) and, on kNotConverged /
+/// kNumericalError / non-finite output, the full one-sided Jacobi SVD
+/// with a doubled sweep budget per retry. Each fallback taken is counted
+/// in `stats` (when non-null).
 Result<Matrix> GuardedProxNuclear(const Matrix& s, double threshold,
                                   const NuclearProxOptions& options,
                                   const GuardrailOptions& guardrails,

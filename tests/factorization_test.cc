@@ -1,6 +1,10 @@
 // Tests for SVD, symmetric eigen, generalized eigen, Cholesky, LU and QR.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +133,50 @@ TEST(SvdTest, SpectralNormEstimateMatchesTopSingularValue) {
 
 // -------------------------------------------------------- Sym. eigen --
 
+// ‖QΛQᵀ − A‖_F / ‖A‖_F (absolute when A = 0).
+double RelativeReconstructionError(const SymmetricEigenResult& eig,
+                                   const Matrix& a) {
+  return (eig.Reconstruct() - a).FrobeniusNorm() /
+         std::max(a.FrobeniusNorm(), 1.0e-300);
+}
+
+// Q diag(lambda) Qᵀ for a seeded random orthogonal Q.
+Matrix WithSpectrum(const Vector& lambda, Rng& rng) {
+  const std::size_t n = lambda.size();
+  SymmetricEigenResult spectral;
+  spectral.eigenvalues = lambda;
+  spectral.eigenvectors =
+      OrthonormalizeColumns(Matrix::RandomGaussian(n, n, rng));
+  return spectral.Reconstruct().Symmetrized();
+}
+
+// The accuracy contract of every decomposition: backward stable
+// reconstruction, orthonormal vectors, ascending eigenvalues.
+void ExpectAccurateEigen(const Matrix& a) {
+  auto eig = ComputeSymmetricEigen(a);
+  ASSERT_TRUE(eig.ok()) << eig.status().ToString();
+  EXPECT_LE(RelativeReconstructionError(eig.value(), a), 1e-12);
+  EXPECT_LE(OrthonormalityError(eig.value().eigenvectors), 1e-12);
+  const Vector& lambda = eig.value().eigenvalues;
+  for (std::size_t i = 1; i < lambda.size(); ++i) {
+    EXPECT_LE(lambda[i - 1], lambda[i]);
+  }
+}
+
+// Eigenvalues match `expected` (ascending) to `tol` · max|expected|.
+void ExpectEigenvalues(const Matrix& a, const Vector& expected, double tol) {
+  auto eig = ComputeSymmetricEigen(a);
+  ASSERT_TRUE(eig.ok()) << eig.status().ToString();
+  double scale = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    scale = std::max(scale, std::fabs(expected[i]));
+  }
+  ASSERT_EQ(eig.value().eigenvalues.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(eig.value().eigenvalues[i], expected[i], tol * scale) << i;
+  }
+}
+
 class SymEigenParamTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SymEigenParamTest, ReconstructsInput) {
@@ -136,7 +184,7 @@ TEST_P(SymEigenParamTest, ReconstructsInput) {
   const Matrix a = RandomSymmetric(GetParam(), rng);
   auto eig = ComputeSymmetricEigen(a);
   ASSERT_TRUE(eig.ok()) << eig.status().ToString();
-  EXPECT_LT((eig.value().Reconstruct() - a).MaxAbs(), 1e-8);
+  EXPECT_LE(RelativeReconstructionError(eig.value(), a), 1e-12);
 }
 
 TEST_P(SymEigenParamTest, EigenvectorsOrthonormalAndSorted) {
@@ -144,15 +192,139 @@ TEST_P(SymEigenParamTest, EigenvectorsOrthonormalAndSorted) {
   const Matrix a = RandomSymmetric(GetParam(), rng);
   auto eig = ComputeSymmetricEigen(a);
   ASSERT_TRUE(eig.ok());
-  EXPECT_LT(OrthonormalityError(eig.value().eigenvectors), 1e-8);
+  EXPECT_LE(OrthonormalityError(eig.value().eigenvectors), 1e-12);
   const Vector& lambda = eig.value().eigenvalues;
   for (std::size_t i = 1; i < lambda.size(); ++i) {
-    EXPECT_GE(lambda[i], lambda[i - 1] - 1e-12);
+    EXPECT_GE(lambda[i], lambda[i - 1]);
   }
 }
 
+// 158 is the paper-scale fit's user count; 300 leaves headroom.
 INSTANTIATE_TEST_SUITE_P(Sizes, SymEigenParamTest,
-                         ::testing::Values(1, 2, 3, 5, 10, 25));
+                         ::testing::Values(1, 2, 3, 5, 10, 25, 158, 300));
+
+TEST(SymEigenTest, IdentityAndZero) {
+  for (std::size_t n : {1u, 2u, 3u, 158u}) {
+    ExpectAccurateEigen(Matrix::Identity(n));
+    ExpectEigenvalues(Matrix::Identity(n), Vector(n, 1.0), 0.0);
+    ExpectAccurateEigen(Matrix(n, n));
+    auto zero = ComputeSymmetricEigen(Matrix(n, n));
+    ASSERT_TRUE(zero.ok());
+    EXPECT_EQ(zero.value().eigenvalues.NormInf(), 0.0);
+  }
+}
+
+TEST(SymEigenTest, RankOne) {
+  Rng rng(61);
+  for (std::size_t n : {2u, 3u, 158u}) {
+    const Matrix v = Matrix::RandomGaussian(n, 1, rng);
+    const Matrix a = MultiplyABt(v, v);
+    ExpectAccurateEigen(a);
+    Vector expected(n, 0.0);
+    expected[n - 1] = v.FrobeniusNorm() * v.FrobeniusNorm();
+    ExpectEigenvalues(a, expected, 1e-12);
+  }
+}
+
+TEST(SymEigenTest, RepeatedPlusMinusEigenvalues) {
+  Rng rng(62);
+  for (std::size_t n : {3u, 158u}) {
+    // Thirds of -1, +1 and +2: clusters of equal magnitude and both signs.
+    Vector lambda(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      lambda[i] = i < n / 3 ? -1.0 : (i < 2 * n / 3 ? 1.0 : 2.0);
+    }
+    const Matrix a = WithSpectrum(lambda, rng);
+    ExpectAccurateEigen(a);
+    ExpectEigenvalues(a, lambda, 1e-12);
+  }
+}
+
+TEST(SymEigenTest, AlreadyDiagonal) {
+  Rng rng(63);
+  for (std::size_t n : {1u, 2u, 3u, 158u}) {
+    Vector diag(n);
+    for (std::size_t i = 0; i < n; ++i) diag[i] = rng.NextGaussian();
+    const Matrix a = Matrix::Diagonal(diag);
+    ExpectAccurateEigen(a);
+    std::vector<double> sorted = diag.data();
+    std::sort(sorted.begin(), sorted.end());
+    ExpectEigenvalues(a, Vector(sorted), 0.0);
+  }
+}
+
+TEST(SymEigenTest, AlreadyTridiagonal) {
+  // The 1-D Laplacian tridiag(-1, 2, -1): λ_k = 2 − 2 cos(kπ / (n+1)).
+  for (std::size_t n : {2u, 3u, 158u, 300u}) {
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a(i, i) = 2.0;
+      if (i + 1 < n) a(i, i + 1) = a(i + 1, i) = -1.0;
+    }
+    ExpectAccurateEigen(a);
+    Vector expected(n);
+    for (std::size_t k = 1; k <= n; ++k) {
+      expected[k - 1] = 2.0 - 2.0 * std::cos(k * std::numbers::pi / (n + 1.0));
+    }
+    ExpectEigenvalues(a, expected, 1e-12);
+  }
+}
+
+TEST(SymEigenTest, GradedMagnitudes) {
+  Rng rng(64);
+  for (std::size_t n : {3u, 158u}) {
+    // Entries graded 1e-8 … 1e8 across the matrix: D S D with D_i
+    // running geometrically from 1e-4 to 1e4.
+    const Matrix s = RandomSymmetric(n, rng);
+    Matrix a(n, n);
+    auto grade = [n](std::size_t i) {
+      return std::pow(10.0, -4.0 + 8.0 * i / static_cast<double>(n - 1));
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = grade(i) * s(i, j) * grade(j);
+    }
+    ExpectAccurateEigen(a);
+    // And a spectrum graded the same way, with both signs.
+    Vector lambda(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      lambda[i] = std::pow(10.0, -8.0 + 16.0 * i / static_cast<double>(n - 1));
+      if (i % 2 == 1) lambda[i] = -lambda[i];
+    }
+    const Matrix b = WithSpectrum(lambda, rng);
+    ExpectAccurateEigen(b);
+    std::vector<double> sorted = lambda.data();
+    std::sort(sorted.begin(), sorted.end());
+    ExpectEigenvalues(b, Vector(sorted), 1e-12);
+  }
+}
+
+TEST(SymEigenTest, RejectsNaN) {
+  Matrix a = Matrix::Identity(4);
+  a(1, 2) = a(2, 1) = std::nan("");
+  auto eig = ComputeSymmetricEigen(a);
+  ASSERT_FALSE(eig.ok());
+  EXPECT_EQ(eig.status().code(), StatusCode::kNumericalError);
+}
+
+TEST(SymEigenTest, RejectsInf) {
+  Matrix a = Matrix::Identity(4);
+  a(3, 3) = std::numeric_limits<double>::infinity();
+  auto eig = ComputeSymmetricEigen(a);
+  ASSERT_FALSE(eig.ok());
+  EXPECT_EQ(eig.status().code(), StatusCode::kNumericalError);
+}
+
+TEST(SymEigenTest, IterationCapReportsNotConverged) {
+  Rng rng(65);
+  const Matrix a = RandomSymmetric(10, rng);
+  SymmetricEigenOptions options;
+  options.max_iterations = 1;
+  auto eig = ComputeSymmetricEigen(a, options);
+  ASSERT_FALSE(eig.ok());
+  EXPECT_EQ(eig.status().code(), StatusCode::kNotConverged);
+  // The default cap converges on the same input.
+  EXPECT_TRUE(ComputeSymmetricEigen(a).ok());
+}
 
 TEST(SymEigenTest, KnownTwoByTwo) {
   // Eigenvalues of [[2,1],[1,2]] are 1 and 3.

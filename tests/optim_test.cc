@@ -110,6 +110,50 @@ TEST(ProxNuclearTest, AutoDispatch) {
   EXPECT_TRUE(ProxNuclearAuto(rect, 0.2).ok());
 }
 
+// Optimality certificate of Y = prox_{τ‖·‖_*}(X) at the fit's size: the
+// subgradient inclusion X − Y ∈ τ∂‖Y‖_* means ‖X − Y‖₂ ≤ τ and
+// ⟨X − Y, Y⟩ = τ‖Y‖_*. Norms come from the independent one-sided Jacobi
+// SVD, not from the eigensolver under test. Its default tolerance skips
+// Gram entries below 1e-12·‖A‖_F², which leaves the null space of the
+// rank-deficient Y partly unrotated and inflates Σσ by ~1e-9 relative;
+// the reference therefore runs at a tolerance near machine precision.
+TEST(ProxNuclearTest, SymmetricProxSatisfiesOptimalityCertificate) {
+  constexpr std::size_t kN = 158;
+  Rng rng(158);
+  const Matrix x = Matrix::RandomGaussian(kN, kN, rng).Symmetrized();
+  SvdOptions reference;
+  reference.tol = 1e-15;
+  auto x_svd = ComputeSvd(x, reference);
+  ASSERT_TRUE(x_svd.ok());
+  // Shrink away roughly the lower half of the spectrum.
+  const double tau = x_svd.value().singular_values[kN / 2];
+
+  auto y = ProxNuclearSymmetric(x, tau);
+  ASSERT_TRUE(y.ok()) << y.status().ToString();
+  const Matrix residual = x - y.value();
+
+  auto residual_svd = ComputeSvd(residual, reference);
+  ASSERT_TRUE(residual_svd.ok());
+  EXPECT_LE(residual_svd.value().singular_values[0], tau * (1.0 + 1e-10));
+
+  auto y_svd = ComputeSvd(y.value(), reference);
+  ASSERT_TRUE(y_svd.ok());
+  double nuclear = 0.0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    nuclear += y_svd.value().singular_values[i];
+  }
+  ASSERT_GT(nuclear, 0.0);
+  double inner = 0.0;
+  for (std::size_t i = 0; i < residual.data().size(); ++i) {
+    inner += residual.data()[i] * y.value().data()[i];
+  }
+  EXPECT_NEAR(inner, tau * nuclear, 1e-10 * tau * nuclear);
+
+  auto general = ProxNuclear(x, tau);
+  ASSERT_TRUE(general.ok());
+  EXPECT_LE((general.value() - y.value()).MaxAbs(), 1e-8 * x.MaxAbs());
+}
+
 TEST(ProxNuclearTest, NegativeThresholdRejected) {
   EXPECT_FALSE(ProxNuclear(Matrix::Identity(2), -1.0).ok());
   EXPECT_FALSE(ProxNuclearSymmetric(Matrix::Identity(2), -1.0).ok());
