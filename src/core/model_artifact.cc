@@ -91,11 +91,13 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
   writer.WriteI32(o.inner.guardrails.divergence_window);
   writer.WriteI32(o.inner.guardrails.max_svd_fallbacks);
   writer.WriteI32(o.inner.guardrails.max_checkpoint_resumes);
-  writer.WriteBool(o.inner.nuclear_prox.use_randomized);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.rank);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.oversampling);
-  writer.WriteI32(o.inner.nuclear_prox.randomized.power_iterations);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.seed);
+  // Five fields of the retired dense randomized prox, written at their
+  // historical defaults so the format is unchanged.
+  writer.WriteBool(false);
+  writer.WriteU64(10);
+  writer.WriteU64(8);
+  writer.WriteI32(2);
+  writer.WriteU64(0x5eed);
   writer.WriteI32(o.max_outer_iterations);
   writer.WriteDouble(o.outer_tol);
 }
@@ -105,6 +107,12 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
     auto _read = (expr);                         \
     if (!_read.ok()) return _read.status();      \
     lhs = _read.value();                         \
+  } while (false)
+
+#define SLAMPRED_SKIP(expr)                      \
+  do {                                           \
+    auto _read = (expr);                         \
+    if (!_read.ok()) return _read.status();      \
   } while (false)
 
 Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
@@ -178,19 +186,19 @@ Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
   SLAMPRED_READ_INTO(o.inner.guardrails.max_svd_fallbacks, reader.ReadI32());
   SLAMPRED_READ_INTO(o.inner.guardrails.max_checkpoint_resumes,
                      reader.ReadI32());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.use_randomized, reader.ReadBool());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.rank, reader.ReadU64());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.oversampling,
-                     reader.ReadU64());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.power_iterations,
-                     reader.ReadI32());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.seed, reader.ReadU64());
+  // The retired dense randomized-prox fields: read and discarded.
+  SLAMPRED_SKIP(reader.ReadBool());
+  SLAMPRED_SKIP(reader.ReadU64());
+  SLAMPRED_SKIP(reader.ReadU64());
+  SLAMPRED_SKIP(reader.ReadI32());
+  SLAMPRED_SKIP(reader.ReadU64());
   SLAMPRED_READ_INTO(o.max_outer_iterations, reader.ReadI32());
   SLAMPRED_READ_INTO(o.outer_tol, reader.ReadDouble());
   return config;
 }
 
 #undef SLAMPRED_READ_INTO
+#undef SLAMPRED_SKIP
 
 void AppendSection(std::uint32_t id, const std::string& payload,
                    BinaryWriter& writer) {

@@ -1,82 +1,81 @@
 #include "optim/cccp.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "optim/guarded_solver.h"
+#include "optim/proximal.h"
 #include "util/logging.h"
 
 namespace slampred {
 
 namespace {
 
-// Shared implementation: solve from `s0` with `theta0`, running
-// `max_outer` rounds starting at round index `first_round`.
-Result<Matrix> SolveImpl(const Objective& objective, const Matrix& s0,
-                         double theta0, int first_round,
-                         const CccpOptions& options, CccpTrace* trace) {
-  const GuardrailOptions& guard = options.inner.guardrails;
-  Matrix s = s0;
-  double theta = theta0;
-  RecoveryStats local_recovery;
-  RecoveryStats* recovery =
-      trace != nullptr ? &trace->recovery : &local_recovery;
+// The dense step policy of the guarded drivers (optim/guarded_solver.h):
+// an explicit gradient step, the nuclear and ℓ₁ proxes, box projection
+// and symmetrisation, with ℓ₁ norms for the trace.
+struct DenseStep {
+  using Iterate = Matrix;
+  using Half = Matrix;
 
-  SolverCheckpoint checkpoint;
-  checkpoint.s = s;
-  checkpoint.theta = theta;
-  checkpoint.outer_round = first_round;
-  checkpoint.valid = true;
+  const Objective& objective;
 
-  int resumes = 0;
-  bool converged = false;
-  int outer = first_round;
-  while (outer < options.max_outer_iterations && !converged) {
-    const Matrix prev = s;
-    IterationTrace* inner_trace = trace != nullptr ? &trace->steps : nullptr;
-    ForwardBackwardOptions inner_options = options.inner;
-    inner_options.theta = theta;
-    auto inner = GeneralizedForwardBackward(objective, s, inner_options,
-                                            inner_trace, recovery);
-    if (!inner.ok()) {
-      // Guardrail: a failed round (persistent fault, exhausted inner
-      // recovery budget) restarts from the last good checkpoint with a
-      // backed-off step size instead of abandoning the whole solve.
-      const StatusCode code = inner.status().code();
-      if (guard.enabled && resumes < guard.max_checkpoint_resumes &&
-          (code == StatusCode::kNotConverged ||
-           code == StatusCode::kNumericalError)) {
-        ++resumes;
-        ++recovery->checkpoint_resumes;
-        theta *= guard.backoff_factor;
-        s = checkpoint.s;
-        continue;
-      }
-      return inner.status();
+  void BeginRound(int /*outer*/) {}
+
+  Matrix Forward(Matrix s, double theta, int /*step*/) const {
+    s -= SmoothGradient(objective, s) * theta;
+    return s;
+  }
+
+  static Matrix* GradStepFaultTarget(Matrix* half) { return half; }
+  static bool IsFinite(const Matrix& m) { return MatrixIsFinite(m); }
+
+  Result<Matrix> Backward(Matrix s, double theta,
+                          const ForwardBackwardOptions& options,
+                          RecoveryStats* recovery) const {
+    if (objective.tau > 0.0) {
+      auto prox = GuardedProxNuclear(s, theta * objective.tau,
+                                     options.guardrails, recovery);
+      if (!prox.ok()) return prox.status();
+      s = std::move(prox).value();
     }
-    s = std::move(inner).value();
-    // The backoff is episodic: a clean round ends the recovery episode,
-    // so a transient fault leaves no permanent step-size change (and the
-    // solve converges to the same fixed point as a fault-free run).
-    theta = theta0;
-
-    const double change = (s - prev).NormL1();
-    const double scale = std::max(1.0, s.NormL1());
-    converged = change / scale < options.outer_tol;
-    if (trace != nullptr) trace->outer_change_l1.push_back(change);
-
-    ++outer;
-    checkpoint.s = s;
-    checkpoint.theta = theta;
-    checkpoint.outer_round = outer;
+    if (objective.gamma > 0.0) {
+      s = ProxL1(s, theta * objective.gamma);
+    }
+    // Projection onto the admissible set 𝒮.
+    if (options.project_unit_box) {
+      for (double& v : s.data()) v = std::clamp(v, 0.0, 1.0);
+    }
+    if (options.keep_symmetric && s.IsSquare()) {
+      s = s.Symmetrized();
+    }
+    return s;
   }
-  if (trace != nullptr) {
-    trace->outer_iterations = outer - first_round;
-    trace->converged = converged;
-    trace->checkpoint = checkpoint;
+
+  static double Norm(const Matrix& s) { return s.NormL1(); }
+  static double Distance(const Matrix& s, const Matrix& prev) {
+    return (s - prev).NormL1();
   }
-  return s;
+  void Accept(const Matrix& /*s*/) {}
+};
+
+void CheckShape(const Objective& objective, const Matrix& s0) {
+  SLAMPRED_CHECK(s0.rows() == objective.a.rows() &&
+                 s0.cols() == objective.a.cols())
+      << "initial point shape mismatch";
 }
 
 }  // namespace
+
+Result<Matrix> GeneralizedForwardBackward(
+    const Objective& objective, const Matrix& s0,
+    const ForwardBackwardOptions& options, IterationTrace* trace,
+    RecoveryStats* recovery) {
+  CheckShape(objective, s0);
+  DenseStep step{objective};
+  return RunForwardBackward(step, s0, options.theta, options, trace,
+                            recovery);
+}
 
 Result<Matrix> SolveCccp(const Objective& objective,
                          const CccpOptions& options, CccpTrace* trace) {
@@ -86,29 +85,9 @@ Result<Matrix> SolveCccp(const Objective& objective,
 
 Result<Matrix> SolveCccpFrom(const Objective& objective, const Matrix& s0,
                              const CccpOptions& options, CccpTrace* trace) {
-  return SolveImpl(objective, s0, options.inner.theta, 0, options, trace);
-}
-
-Result<Matrix> ResumeCccp(const Objective& objective,
-                          const SolverCheckpoint& checkpoint,
-                          const CccpOptions& options, CccpTrace* trace) {
-  if (!checkpoint.valid) {
-    return Status::FailedPrecondition("resume from an invalid checkpoint");
-  }
-  if (checkpoint.s.rows() != objective.a.rows() ||
-      checkpoint.s.cols() != objective.a.cols()) {
-    return Status::FailedPrecondition("checkpoint shape mismatch");
-  }
-  if (checkpoint.outer_round >= options.max_outer_iterations) {
-    // Nothing left to do; the checkpointed iterate is the answer.
-    if (trace != nullptr) {
-      trace->checkpoint = checkpoint;
-      trace->converged = true;
-    }
-    return checkpoint.s;
-  }
-  return SolveImpl(objective, checkpoint.s, checkpoint.theta,
-                   checkpoint.outer_round, options, trace);
+  CheckShape(objective, s0);
+  DenseStep step{objective};
+  return RunCccp(step, s0, options, trace);
 }
 
 }  // namespace slampred

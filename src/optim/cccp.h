@@ -9,10 +9,14 @@
 // from the warm iterate exactly as Algorithm 1 prescribes — and the
 // recorded trace reproduces Figure 3.
 //
-// Robustness: the outer loop keeps a SolverCheckpoint of the last good
-// iterate. If the inner loop fails (persistent fault, exhausted
-// recovery budget), the solve backs off the step size and resumes from
-// the checkpoint a bounded number of times before giving up.
+// Robustness: if a round's inner loop fails (persistent fault,
+// exhausted recovery budget), the solve backs off the step size and
+// resumes from the last completed round's iterate a bounded number of
+// times before giving up.
+//
+// The control flow is shared with the factored backend
+// (optim/factored_solver.h) through optim/guarded_solver.h; this header
+// is the dense entry point.
 
 #ifndef SLAMPRED_OPTIM_CCCP_H_
 #define SLAMPRED_OPTIM_CCCP_H_
@@ -42,7 +46,6 @@ struct CccpTrace {
   int outer_iterations = 0;
   bool converged = false;
   RecoveryStats recovery;         ///< Every guardrail action taken.
-  SolverCheckpoint checkpoint;    ///< Last good state of the solve.
 };
 
 /// Runs Algorithm 1: S is initialised to the observed adjacency A
@@ -56,16 +59,6 @@ Result<Matrix> SolveCccp(const Objective& objective,
 Result<Matrix> SolveCccpFrom(const Objective& objective, const Matrix& s0,
                              const CccpOptions& options,
                              CccpTrace* trace = nullptr);
-
-/// Resumes a solve from a checkpoint (e.g. CccpTrace::checkpoint taken
-/// before a crash or a recovered fault): starts at the checkpointed
-/// iterate and step size and runs the outer rounds the checkpoint has
-/// not completed yet. Fails with kFailedPrecondition on an invalid
-/// checkpoint.
-Result<Matrix> ResumeCccp(const Objective& objective,
-                          const SolverCheckpoint& checkpoint,
-                          const CccpOptions& options,
-                          CccpTrace* trace = nullptr);
 
 }  // namespace slampred
 

@@ -8,6 +8,7 @@
 #include "linalg/matrix_ops.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "optim/guarded_solver.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -83,25 +84,6 @@ Matrix RangeFinder(const HalfStepOp& op, std::size_t sketch,
   return q;
 }
 
-// Mirrors forward_backward.cc: a failed gradient step *is* a corrupted
-// iterate, so the "fb.grad_step" site poisons the materialised
-// half-step factor.
-void ApplyGradStepFault(Matrix* b) {
-  switch (SLAMPRED_FAULT_HIT("fb.grad_step")) {
-    case FaultKind::kNone:
-      break;
-    case FaultKind::kPoisonInf:
-      if (!b->empty()) b->data()[0] = std::numeric_limits<double>::infinity();
-      break;
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kFailNotConverged:
-    case FaultKind::kFailNumerical:
-    case FaultKind::kFailIo:
-      if (!b->empty()) b->data()[0] = std::numeric_limits<double>::quiet_NaN();
-      break;
-  }
-}
-
 // One un-guarded factored prox attempt with the given core-SVD budget.
 Result<FactoredMatrix> FactoredProxAttempt(const Matrix& q, const Matrix& b,
                                            double threshold,
@@ -165,6 +147,103 @@ bool HandleProxFault(FaultKind kind, const char* site, const Matrix& q,
   }
   return false;
 }
+
+Status UnsupportedLoss() {
+  return Status::InvalidArgument(
+      "the factored backend supports the squared-Frobenius loss only "
+      "(the squared-hinge gradient is entry-wise nonlinear)");
+}
+
+// The factored step policy of the guarded drivers
+// (optim/guarded_solver.h): the forward step as an implicit operator
+// sketched by the range finder, the factored nuclear prox, rank-doubling
+// symmetrisation and Frobenius norms. The sketch basis is reused from
+// step to step and round to round.
+struct FactoredStep {
+  using Iterate = FactoredMatrix;
+  // The sketched half step S_half ≈ q·bᵀ, q with orthonormal columns.
+  struct Half {
+    Matrix q;
+    Matrix b;
+  };
+
+  FactoredStep(const FactoredObjective& objective_in,
+               const FactoredSolverOptions& factored_in, Matrix basis_in)
+      : objective(objective_in),
+        factored(factored_in),
+        z(objective_in.a.Scaled(2.0).Add(objective_in.grad_v)),
+        sketch(std::min(factored_in.rank + factored_in.oversampling,
+                        objective_in.a.rows())),
+        basis(std::move(basis_in)) {}
+
+  const FactoredObjective& objective;
+  const FactoredSolverOptions& factored;
+  const CsrMatrix z;  // Z = 2A + G, constant across the whole solve.
+  const std::size_t sketch;
+  // Decorrelates the gaussian draws across CCCP rounds.
+  std::uint64_t round_seed = 0;
+  // Range-finder subspace: the last accepted iterate's column space.
+  Matrix basis;
+
+  void BeginRound(int outer) {
+    round_seed = 0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(outer + 1);
+  }
+
+  // S_half = (1−2θ)·S + θ·Z, minus the linearised ℓ₁ term −θγ·1·1ᵀ when
+  // γ > 0, applied as an operator and captured by its range sketch.
+  Half Forward(const FactoredMatrix& s, double theta, int step) const {
+    HalfStepOp op;
+    op.s = &s;
+    op.su = 1.0 - 2.0 * theta;
+    op.z = &z;
+    op.sz = theta;
+    op.oc = objective.gamma > 0.0 ? -theta * objective.gamma : 0.0;
+    op.n = objective.a.rows();
+
+    const int power = basis.cols() > 0 ? factored.warm_power_iterations
+                                       : factored.power_iterations;
+    // Vary the fresh-column draw deterministically per step so a
+    // dropped subspace direction is not re-proposed forever.
+    const std::uint64_t step_seed =
+        factored.seed ^ (round_seed + 0x9e3779b97f4a7c15ULL *
+                                          static_cast<std::uint64_t>(step + 1));
+    Matrix q = RangeFinder(op, sketch, basis, power, step_seed);
+    Matrix b = op.Apply(q, /*transpose=*/true);
+    return {std::move(q), std::move(b)};
+  }
+
+  static Matrix* GradStepFaultTarget(Half* half) { return &half->b; }
+  static bool IsFinite(const Half& half) {
+    return MatrixIsFinite(half.q) && MatrixIsFinite(half.b);
+  }
+  static bool IsFinite(const FactoredMatrix& s) { return s.IsFinite(); }
+
+  Result<FactoredMatrix> Backward(Half half, double theta,
+                                  const ForwardBackwardOptions& options,
+                                  RecoveryStats* recovery) const {
+    // The sketched half step; with no nuclear term it is the new
+    // iterate.
+    FactoredMatrix s(std::move(half.q), std::move(half.b));
+    if (objective.tau > 0.0) {
+      auto prox = GuardedFactoredProxNuclear(s.u(), s.v(),
+                                             theta * objective.tau,
+                                             options.guardrails, recovery);
+      if (!prox.ok()) return prox.status();
+      s = std::move(prox).value();
+    }
+    if (options.keep_symmetric && s.rows() == s.cols()) {
+      s = s.Symmetrized();
+    }
+    return s;
+  }
+
+  static double Norm(const FactoredMatrix& s) { return s.FrobeniusNorm(); }
+  static double Distance(const FactoredMatrix& s,
+                         const FactoredMatrix& prev) {
+    return s.DistanceFrobenius(prev);
+  }
+  void Accept(const FactoredMatrix& s) { basis = s.u(); }
+};
 
 }  // namespace
 
@@ -247,12 +326,11 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
   if (threshold < 0.0) {
     return Status::InvalidArgument("negative nuclear threshold");
   }
-  // Shares "svd.prox" with every dense prox backend — the guardrail
-  // fallback chain must see the same fault regardless of backend — and
-  // adds the factored-specific "prox.factored" site. An injected fault
-  // replaces the primary attempt (failed Status or poisoned factors) so
-  // the fallback chain below recovers it exactly like a real SVD
-  // failure, mirroring the dense GuardedProxNuclear semantics.
+  // Shares "svd.prox" with the dense prox — the guardrail fallback
+  // chain must see the same fault regardless of backend — and adds the
+  // factored-specific "prox.factored" site. An injected fault replaces
+  // the primary attempt (failed Status or poisoned factors) so the
+  // fallback chain recovers it exactly like a real SVD failure.
   Result<FactoredMatrix> primary = Status::OK();
   bool injected = HandleProxFault(SLAMPRED_FAULT_HIT("svd.prox"), "svd.prox",
                                   q, b, &primary);
@@ -261,32 +339,12 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
                                "prox.factored", q, b, &primary);
   }
   if (!injected) primary = FactoredProxAttempt(q, b, threshold, SvdOptions{});
-  if (primary.ok() && primary.value().IsFinite()) return primary;
-  if (!guardrails.enabled) return primary;
-  if (!primary.ok() &&
-      primary.status().code() != StatusCode::kNotConverged &&
-      primary.status().code() != StatusCode::kNumericalError) {
-    return primary;
-  }
-
-  Status last = primary.ok() ? Status::NumericalError(
-                                   "factored prox produced non-finite factors")
-                             : primary.status();
-  // Same fallback policy as GuardedProxNuclear: bounded retries with a
-  // doubled core-SVD sweep budget each attempt.
-  SvdOptions svd_options;
-  for (int attempt = 0; attempt < guardrails.max_svd_fallbacks; ++attempt) {
-    svd_options.max_sweeps *= 2;
-    auto fallback = FactoredProxAttempt(q, b, threshold, svd_options);
-    if (fallback.ok() && fallback.value().IsFinite()) {
-      if (stats != nullptr) ++stats->svd_fallbacks;
-      return fallback;
-    }
-    last = fallback.ok()
-               ? Status::NumericalError("fallback factored prox non-finite")
-               : fallback.status();
-  }
-  return last;
+  return ProxWithSvdFallback(
+      std::move(primary),
+      [&](const SvdOptions& svd_options) {
+        return FactoredProxAttempt(q, b, threshold, svd_options);
+      },
+      guardrails, stats);
 }
 
 Result<FactoredMatrix> FactoredApproximation(
@@ -318,159 +376,14 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
                  s0.cols() == objective.a.cols())
       << "initial point shape mismatch";
   if (objective.loss != LossKind::kSquaredFrobenius) {
-    return Status::InvalidArgument(
-        "the factored backend supports the squared-Frobenius loss only "
-        "(the squared-hinge gradient is entry-wise nonlinear)");
+    return UnsupportedLoss();
   }
-
-  const GuardrailOptions& guard = options.guardrails;
-  const std::size_t n = objective.a.rows();
-  const std::size_t sketch =
-      std::min(factored.rank + factored.oversampling, n);
-  // Z = 2A + G is constant across the whole inner loop.
-  const CsrMatrix z = objective.a.Scaled(2.0).Add(objective.grad_v);
-
-  FactoredMatrix s = s0;
-  double theta = options.theta;
-  int recoveries = 0;
-  double best_change = std::numeric_limits<double>::infinity();
-  FactoredMatrix best_s = s;
-  int divergence_streak = 0;
-  bool budget_exhausted = false;
-  Matrix basis = warm_basis != nullptr ? *warm_basis : Matrix();
-
-  const auto back_off = [&](int* counter) {
-    ++recoveries;
-    if (counter != nullptr) ++*counter;
-    theta *= guard.backoff_factor;
-    return recoveries <= guard.max_recoveries;
-  };
-
-  bool converged = false;
-  int it = 0;
-  for (; it < options.max_iterations && !converged; ++it) {
-    const FactoredMatrix prev = s;
-
-    // Forward step as an implicit operator: S_half = (1−2θ)·S + θ·Z,
-    // minus the linearised ℓ₁ term −θγ·1·1ᵀ when γ > 0.
-    HalfStepOp op;
-    op.s = &s;
-    op.su = 1.0 - 2.0 * theta;
-    op.z = &z;
-    op.sz = theta;
-    op.oc = objective.gamma > 0.0 ? -theta * objective.gamma : 0.0;
-    op.n = n;
-
-    const int power = basis.cols() > 0 ? factored.warm_power_iterations
-                                       : factored.power_iterations;
-    // Vary the fresh-column draw deterministically per step so a
-    // dropped subspace direction is not re-proposed forever.
-    const std::uint64_t step_seed =
-        factored.seed ^ (sketch_seed + 0x9e3779b97f4a7c15ULL *
-                                           static_cast<std::uint64_t>(it + 1));
-    Matrix q = RangeFinder(op, sketch, basis, power, step_seed);
-    Matrix b = op.Apply(q, /*transpose=*/true);
-    ApplyGradStepFault(&b);
-
-    // Guardrail: a non-finite half step never reaches the prox.
-    const auto half_finite = [&] {
-      for (double x : q.data()) {
-        if (!std::isfinite(x)) return false;
-      }
-      for (double x : b.data()) {
-        if (!std::isfinite(x)) return false;
-      }
-      return true;
-    };
-    if (guard.enabled && !half_finite()) {
-      s = prev;
-      if (!back_off(recovery != nullptr ? &recovery->nan_rollbacks
-                                        : nullptr)) {
-        budget_exhausted = true;
-        break;
-      }
-      continue;
-    }
-
-    if (objective.tau > 0.0) {
-      auto prox = GuardedFactoredProxNuclear(q, b, theta * objective.tau,
-                                             guard, recovery);
-      if (!prox.ok()) {
-        if (!guard.enabled) return prox.status();
-        s = prev;
-        if (!back_off(recovery != nullptr ? &recovery->prox_rollbacks
-                                          : nullptr)) {
-          budget_exhausted = true;
-          break;
-        }
-        continue;
-      }
-      s = std::move(prox).value();
-    } else {
-      // No nuclear term: the sketched half step is the new iterate.
-      s = FactoredMatrix(std::move(q), std::move(b));
-    }
-
-    if (options.keep_symmetric && s.rows() == s.cols()) {
-      s = s.Symmetrized();
-    }
-
-    if (guard.enabled && !s.IsFinite()) {
-      s = prev;
-      if (!back_off(recovery != nullptr ? &recovery->nan_rollbacks
-                                        : nullptr)) {
-        budget_exhausted = true;
-        break;
-      }
-      continue;
-    }
-
-    const double change = s.DistanceFrobenius(prev);
-    const double scale = std::max(1.0, s.FrobeniusNorm());
-
-    if (guard.enabled) {
-      if (change < best_change) {
-        best_change = change;
-        best_s = s;
-        divergence_streak = 0;
-      } else if (change >
-                 guard.divergence_factor * std::max(best_change, 1e-12)) {
-        if (++divergence_streak >= guard.divergence_window) {
-          s = best_s;
-          divergence_streak = 0;
-          if (!back_off(recovery != nullptr
-                            ? &recovery->divergence_backoffs
-                            : nullptr)) {
-            budget_exhausted = true;
-            break;
-          }
-          continue;
-        }
-      }
-    }
-
-    converged = change / scale < options.tol;
-
-    // Subspace reuse: the accepted iterate's column space seeds the
-    // next range find.
-    basis = s.u();
-
-    if (trace != nullptr) {
-      trace->s_norm_l1.push_back(s.FrobeniusNorm());
-      trace->s_change_l1.push_back(change);
-    }
-  }
-
-  if (trace != nullptr) {
-    trace->converged = converged;
-    trace->iterations += it;
-  }
-  if (warm_basis != nullptr) *warm_basis = std::move(basis);
-  if (budget_exhausted) {
-    return Status::NotConverged(
-        "factored forward-backward recovery budget exhausted after " +
-        std::to_string(recoveries) + " recoveries");
-  }
+  FactoredStep step(objective, factored,
+                    warm_basis != nullptr ? *warm_basis : Matrix());
+  step.round_seed = sketch_seed;
+  auto s = RunForwardBackward(step, s0, options.theta, options, trace,
+                              recovery);
+  if (warm_basis != nullptr) *warm_basis = std::move(step.basis);
   return s;
 }
 
@@ -479,70 +392,12 @@ Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
                                          const FactoredSolverOptions& factored,
                                          CccpTrace* trace) {
   if (objective.loss != LossKind::kSquaredFrobenius) {
-    return Status::InvalidArgument(
-        "the factored backend supports the squared-Frobenius loss only "
-        "(the squared-hinge gradient is entry-wise nonlinear)");
+    return UnsupportedLoss();
   }
   auto init = FactoredApproximation(objective.a, factored);
   if (!init.ok()) return init.status();
-
-  const GuardrailOptions& guard = options.inner.guardrails;
-  FactoredMatrix s = std::move(init).value();
-  const double theta0 = options.inner.theta;
-  double theta = theta0;
-  RecoveryStats local_recovery;
-  RecoveryStats* recovery =
-      trace != nullptr ? &trace->recovery : &local_recovery;
-
-  // The factored twin of the dense SolverCheckpoint; CccpTrace's dense
-  // checkpoint stays invalid in this mode.
-  FactoredMatrix checkpoint_s = s;
-  Matrix warm_basis;
-
-  int resumes = 0;
-  bool converged = false;
-  int outer = 0;
-  while (outer < options.max_outer_iterations && !converged) {
-    const FactoredMatrix prev = s;
-    IterationTrace* inner_trace = trace != nullptr ? &trace->steps : nullptr;
-    ForwardBackwardOptions inner_options = options.inner;
-    inner_options.theta = theta;
-    const std::uint64_t round_seed =
-        0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(outer + 1);
-    auto inner = GeneralizedForwardBackwardFactored(
-        objective, s, inner_options, factored, round_seed, &warm_basis,
-        inner_trace, recovery);
-    if (!inner.ok()) {
-      const StatusCode code = inner.status().code();
-      if (guard.enabled && resumes < guard.max_checkpoint_resumes &&
-          (code == StatusCode::kNotConverged ||
-           code == StatusCode::kNumericalError)) {
-        ++resumes;
-        ++recovery->checkpoint_resumes;
-        theta *= guard.backoff_factor;
-        s = checkpoint_s;
-        continue;
-      }
-      return inner.status();
-    }
-    s = std::move(inner).value();
-    // Episodic backoff, exactly as the dense outer loop: a clean round
-    // restores the configured step size.
-    theta = theta0;
-
-    const double change = s.DistanceFrobenius(prev);
-    const double scale = std::max(1.0, s.FrobeniusNorm());
-    converged = change / scale < options.outer_tol;
-    if (trace != nullptr) trace->outer_change_l1.push_back(change);
-
-    ++outer;
-    checkpoint_s = s;
-  }
-  if (trace != nullptr) {
-    trace->outer_iterations = outer;
-    trace->converged = converged;
-  }
-  return s;
+  FactoredStep step(objective, factored, Matrix());
+  return RunCccp(step, std::move(init).value(), options, trace);
 }
 
 }  // namespace slampred

@@ -26,7 +26,9 @@
 //     matrices) where the dense path uses entry-wise ℓ₁ norms.
 // With γ = 0, the box projection off and a full-rank sketch the
 // factored path computes exactly what the dense path computes, up to
-// floating-point rounding — that regime is the equivalence gate.
+// floating-point rounding — that regime is the equivalence gate. The
+// guarded control flow (rollbacks, backoffs, checkpoint resume) is the
+// dense path's own: both instantiate optim/guarded_solver.h.
 
 #ifndef SLAMPRED_OPTIM_FACTORED_SOLVER_H_
 #define SLAMPRED_OPTIM_FACTORED_SOLVER_H_
@@ -80,7 +82,7 @@ double FactoredObjectiveValue(const FactoredObjective& objective,
 /// orthonormal columns): thin QR on b, SVD of the small core, singular
 /// values shrunk by `threshold` and the surviving ranks returned as a
 /// FactoredMatrix — O(n·k²) for a k-column sketch. Routed through the
-/// same "svd.prox" fault site as the dense prox backends plus its own
+/// same "svd.prox" fault site as the dense prox plus its own
 /// "prox.factored" site, with the guardrail fallback chain retrying the
 /// core SVD on a doubled sweep budget (counted in
 /// RecoveryStats::svd_fallbacks).
@@ -94,12 +96,13 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
 Result<FactoredMatrix> FactoredApproximation(const CsrMatrix& a,
                                              const FactoredSolverOptions& options);
 
-/// The factored inner loop: mirrors GeneralizedForwardBackward's
-/// guardrail structure (NaN rollback, prox rollback, divergence
-/// backoff, recovery budget) with Frobenius-norm convergence tests.
-/// `sketch_seed` decorrelates the gaussian draws across CCCP rounds;
-/// `warm_basis` (optional in/out) carries the range-finder subspace
-/// across calls. IterationTrace fields hold Frobenius norms.
+/// The factored inner loop: the same guarded driver as
+/// GeneralizedForwardBackward (optim/guarded_solver.h: NaN rollback,
+/// prox rollback, divergence backoff, recovery budget) on the factored
+/// step, with Frobenius-norm convergence tests. `sketch_seed`
+/// decorrelates the gaussian draws across CCCP rounds; `warm_basis`
+/// (optional in/out) carries the range-finder subspace across calls.
+/// IterationTrace fields hold Frobenius norms.
 Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
     const FactoredObjective& objective, const FactoredMatrix& s0,
     const ForwardBackwardOptions& options,
@@ -107,14 +110,12 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
     Matrix* warm_basis, IterationTrace* trace, RecoveryStats* recovery);
 
 /// Algorithm 1 on the factored iterate: S⁰ from FactoredApproximation,
-/// then CCCP outer rounds over the factored inner loop with the
+/// then the shared CCCP outer driver (round loop, episodic θ backoff,
+/// checkpoint resume) over the factored inner loop, with the
 /// range-finder basis warm-started from round to round (the subspace
-/// reuse path). Keeps the dense outer loop's checkpoint-resume
-/// semantics with an internal factored checkpoint; CccpTrace::checkpoint
-/// stays invalid (it holds a dense iterate) and the trace's *_l1 series
-/// hold Frobenius values in this mode. Fails with kInvalidArgument for
-/// the squared-hinge loss (its gradient is entry-wise nonlinear and has
-/// no low-rank half step).
+/// reuse path). The trace's *_l1 series hold Frobenius values in this
+/// mode. Fails with kInvalidArgument for the squared-hinge loss (its
+/// gradient is entry-wise nonlinear and has no low-rank half step).
 Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,

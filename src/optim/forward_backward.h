@@ -10,7 +10,10 @@
 // non-finite or diverging iterate rolls back to the last good one with
 // a halved θ, and a failing nuclear prox falls back to the full Jacobi
 // SVD. With guardrails at their defaults a healthy run is bit-identical
-// to the unguarded loop.
+// to the unguarded loop. The loop itself is written once for the dense
+// and the factored iterate (optim/guarded_solver.h); this header holds
+// its options, its trace and the dense entry point (defined in
+// cccp.cc).
 
 #ifndef SLAMPRED_OPTIM_FORWARD_BACKWARD_H_
 #define SLAMPRED_OPTIM_FORWARD_BACKWARD_H_
@@ -36,7 +39,6 @@ struct ForwardBackwardOptions {
   bool project_unit_box = true;  ///< Clamp S into [0, 1] each step.
   bool keep_symmetric = true;    ///< Re-symmetrise after each step.
   GuardrailOptions guardrails;   ///< Rollback/backoff/fallback controls.
-  NuclearProxOptions nuclear_prox;  ///< Nuclear-prox backend selection.
 };
 
 /// Per-step trace used by the Figure-3 convergence experiment. Recovery

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/svd.h"
+#include "optim/guarded_solver.h"
 #include "optim/proximal.h"
 
 namespace slampred {
@@ -41,43 +42,17 @@ bool MatrixIsFinite(const Matrix& m) {
 }
 
 Result<Matrix> GuardedProxNuclear(const Matrix& s, double threshold,
-                                  const NuclearProxOptions& options,
                                   const GuardrailOptions& guardrails,
                                   RecoveryStats* stats) {
-  auto primary = options.use_randomized
-                     ? ProxNuclearRandomized(s, threshold, options.randomized)
-                     : ProxNuclearAuto(s, threshold);
-  if (primary.ok() && MatrixIsFinite(primary.value())) return primary;
-  if (!guardrails.enabled) return primary;
-
-  // Only decomposition trouble is retryable; argument errors are not.
-  if (!primary.ok() &&
-      primary.status().code() != StatusCode::kNotConverged &&
-      primary.status().code() != StatusCode::kNumericalError) {
-    return primary;
-  }
-
-  Status last = primary.ok()
-                    ? Status::NumericalError(
-                          "nuclear prox produced non-finite entries")
-                    : primary.status();
-  // Fallback chain: full Jacobi SVD with a doubled sweep budget per
-  // attempt. This backend is independent of the primary (no sketch, no
-  // symmetric-eigen shortcut), so a backend-specific failure — or an
-  // injected one — does not repeat here.
-  SvdOptions svd_options;
-  for (int attempt = 0; attempt < guardrails.max_svd_fallbacks; ++attempt) {
-    svd_options.max_sweeps *= 2;
-    auto fallback = ProxNuclear(s, threshold, svd_options);
-    if (fallback.ok() && MatrixIsFinite(fallback.value())) {
-      if (stats != nullptr) ++stats->svd_fallbacks;
-      return fallback;
-    }
-    last = fallback.ok() ? Status::NumericalError(
-                               "fallback nuclear prox non-finite")
-                         : fallback.status();
-  }
-  return last;
+  // The fallback is the full Jacobi SVD: independent of the primary's
+  // symmetric-eigen shortcut, so a backend-specific failure — or an
+  // injected one — does not repeat there.
+  return ProxWithSvdFallback(
+      ProxNuclearAuto(s, threshold),
+      [&](const SvdOptions& svd_options) {
+        return ProxNuclear(s, threshold, svd_options);
+      },
+      guardrails, stats);
 }
 
 }  // namespace slampred

@@ -11,15 +11,17 @@
 //     iterate and halve the step size θ.
 //   * Divergence (the step change blowing up well past its best value
 //     for several consecutive steps)       → same rollback + backoff.
-//   * Nuclear-prox failure (randomized or symmetric-eigen backend not
+//   * Nuclear-prox failure (symmetric-eigen or factored core SVD not
 //     converging)                          → bounded-retry fallback to
-//     the full one-sided Jacobi SVD with extra sweeps, an algorithm
-//     family independent of the tridiagonal-QL eigensolver.
+//     the one-sided Jacobi SVD with extra sweeps, an algorithm family
+//     independent of the tridiagonal-QL eigensolver.
 //   * Inner-loop failure after its own retries → CCCP resumes from the
-//     last SolverCheckpoint with a halved θ.
+//     last completed round's iterate with a halved θ.
 //
-// Every intervention is counted in RecoveryStats, surfaced through
-// CccpTrace and printed by tools/slampred_cli.
+// The loops that apply these guardrails are written once for the dense
+// and the factored iterate in optim/guarded_solver.h. Every
+// intervention is counted in RecoveryStats, surfaced through CccpTrace
+// and printed by tools/slampred_cli.
 
 #ifndef SLAMPRED_OPTIM_GUARDRAILS_H_
 #define SLAMPRED_OPTIM_GUARDRAILS_H_
@@ -27,7 +29,6 @@
 #include <string>
 
 #include "linalg/matrix.h"
-#include "linalg/randomized_svd.h"
 #include "util/status.h"
 
 namespace slampred {
@@ -76,15 +77,6 @@ struct RecoveryStats {
   std::string ToString() const;
 };
 
-/// Last known-good solver state; enough to resume Algorithm 1 after a
-/// recovered fault.
-struct SolverCheckpoint {
-  Matrix s;              ///< Last good iterate.
-  double theta = 0.0;    ///< Step size in effect when it was taken.
-  int outer_round = 0;   ///< CCCP round that produced it.
-  bool valid = false;    ///< False until the first checkpoint is taken.
-};
-
 /// Guardrail controls shared by the inner and outer loops.
 struct GuardrailOptions {
   /// Master switch. Off restores the exact pre-guardrail behavior
@@ -111,23 +103,13 @@ struct GuardrailOptions {
 /// True iff every entry of `m` is finite (no NaN, no ±Inf).
 bool MatrixIsFinite(const Matrix& m);
 
-/// Nuclear-prox backend selection for GuardedProxNuclear.
-struct NuclearProxOptions {
-  /// Use the randomized sketch as the primary backend (scalable path);
-  /// the full/symmetric decomposition remains the fallback.
-  bool use_randomized = false;
-  RandomizedSvdOptions randomized;
-};
-
-/// Nuclear-norm prox with a bounded-retry fallback chain:
-/// primary backend (randomized sketch, or ProxNuclearAuto's dispatch to
-/// the tridiagonal-QL symmetric eigensolver or the SVD, honoring the
-/// "svd.prox" fault-injection site) and, on kNotConverged /
+/// Nuclear-norm prox with a bounded-retry fallback chain: primary
+/// ProxNuclearAuto (the tridiagonal-QL symmetric eigensolver or the SVD,
+/// honoring the "svd.prox" fault-injection site) and, on kNotConverged /
 /// kNumericalError / non-finite output, the full one-sided Jacobi SVD
 /// with a doubled sweep budget per retry. Each fallback taken is counted
 /// in `stats` (when non-null).
 Result<Matrix> GuardedProxNuclear(const Matrix& s, double threshold,
-                                  const NuclearProxOptions& options,
                                   const GuardrailOptions& guardrails,
                                   RecoveryStats* stats);
 

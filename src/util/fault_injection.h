@@ -16,13 +16,12 @@
 // each hit costs one relaxed atomic load.
 //
 // Known injection sites wired into the library:
-//   "svd.prox"        nuclear-norm prox (proximal.cc, randomized_svd.cc,
-//                     factored_solver.cc)
+//   "svd.prox"        nuclear-norm prox (proximal.cc, factored_solver.cc)
 //   "prox.factored"   factored-backend prox only (factored_solver.cc);
 //                     "svd.prox" also covers it, this site singles the
 //                     factored path out
-//   "fb.grad_step"    forward–backward gradient step (forward_backward.cc
-//                     and the factored inner loop)
+//   "fb.grad_step"    forward–backward gradient step, dense and
+//                     factored (optim/guarded_solver.h)
 //   "graph_io.parse"  per-line network/anchor parsing (graph_io.cc)
 //   "fit.features"    feature stage of the fit pipeline (fit_pipeline.cc)
 //   "fit.embedding"   embedding stage of the fit pipeline (fit_pipeline.cc)
